@@ -196,11 +196,9 @@ void BM_EmitPathHashCombine(benchmark::State& state) {
 BENCHMARK(BM_EmitPathHashCombine)->Arg(8)->Arg(32);
 
 // ---------------------------------------------------------------------------
-// Worker-state reuse A/B: repeated engine runs over a fragment-sized input
-// with the cached per-worker state dropped before every run (the old
-// construct-per-run behaviour) vs reused (arenas rewound, buckets and
-// gather buffers keep capacity).  The delta is the per-fragment setup
-// overhead an out-of-core run pays once per fragment.
+// Repeated engine runs over a fragment-sized input with the per-worker
+// state reused (arenas rewound, buckets and gather buffers keep capacity):
+// the per-fragment cost an out-of-core run pays once per fragment.
 // ---------------------------------------------------------------------------
 
 const std::string& fragment_256kib() {
@@ -212,21 +210,6 @@ const std::string& fragment_256kib() {
   }();
   return text;
 }
-
-void BM_EngineRunColdState(benchmark::State& state) {
-  const std::string& text = fragment_256kib();
-  mr::Options opts;
-  opts.num_workers = static_cast<std::size_t>(state.range(0));
-  mr::Engine<apps::WordCountSpec> engine{opts};
-  const auto chunks = mr::split_text(text, 64 * 1024);
-  for (auto _ : state) {
-    engine.release_worker_state();
-    benchmark::DoNotOptimize(engine.run(apps::WordCountSpec{}, chunks));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_EngineRunColdState)->Arg(1)->Arg(4);
 
 void BM_EngineRunReusedState(benchmark::State& state) {
   const std::string& text = fragment_256kib();

@@ -11,10 +11,10 @@
 //   NFS:  attribute-cache staleness       (0 on local FS; acregmin-bounded
 //                                          on a real NFS mount — inotify
 //                                          cannot see remote writes, and a
-//                                          polling watcher only observes a
+//                                          polling drainer only observes a
 //                                          change after the client-side
 //                                          attribute cache revalidates)
-//   SD:   watcher poll latency            (uniform 0..poll ⇒ poll/2 mean)
+//   SD:   drainer poll latency            (uniform 0..poll ⇒ poll/2 mean)
 //   SD:   decode + dispatch queue + module runtime
 //   SD:   encode + write response
 //   NFS:  attribute-cache staleness again (host side)
@@ -32,7 +32,7 @@ struct FamModel {
   double codec_seconds = 20e-6;
   /// Write+fsync-equivalent latency of one small file replace.
   double write_seconds = 200e-6;
-  /// Storage-node watcher poll interval.
+  /// Storage-node drainer poll interval (DaemonOptions::drain_interval).
   double sd_poll_seconds = 2e-3;
   /// Host-side client poll interval.
   double host_poll_seconds = 1e-3;

@@ -46,7 +46,7 @@ struct Testbed {
   SmbTraffic smb{SmbConfig{}};
 
   /// smartFAM invocation round trip: host writes the request log record,
-  /// the SD watcher polls it up, the daemon dispatches, and the response
+  /// the SD drainer polls it up, the daemon dispatches, and the response
   /// record travels back.  Dominated by the two polling intervals.
   double fam_invocation_seconds = 0.02;
 

@@ -28,7 +28,7 @@ class KeyValueMap {
   static Result<KeyValueMap> parse(std::string_view text);
 
   /// Serialises deterministically (keys sorted) so identical maps produce
-  /// byte-identical log records — watcher change detection relies on it.
+  /// byte-identical log records — the result cache keys on it.
   [[nodiscard]] std::string serialize() const;
 
   void set(std::string key, std::string value);

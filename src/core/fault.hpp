@@ -1,15 +1,15 @@
 // Deterministic fault injection at the core/io boundary.
 //
-// The smartFAM channel is a single-record log file on a shared folder —
-// exactly the medium where torn writes, transient EIO, lost watcher
-// events, and ENOSPC silently violate the invoke→dispatch→result
+// The smartFAM channel is a set of append-only log files on a shared
+// folder — exactly the medium where torn writes, transient EIO, lost
+// change events, and ENOSPC silently violate the invoke→dispatch→result
 // contract.  Rather than waiting for NFS to produce those faults, this
 // layer injects them on purpose, scheduled deterministically from a
 // seed, so the soak harness (tools/mcsd_soak) and the unit tests can
 // replay the exact same fault sequence for a given plan.
 //
 // Model: every instrumented operation is a *site* (read_file,
-// write_file_atomic, ChunkedFileReader refill, watcher change events).
+// write_file_atomic, ChunkedFileReader refill, mailbox change events).
 // Each call at a site consumes one step of that site's counter; a
 // FaultPlan maps (site, kind, step) to fire/skip either by an explicit
 // step schedule ("write.torn=@3") or by a seed-hashed Bernoulli draw
@@ -46,7 +46,7 @@ enum class Site : std::uint8_t {
   kReadFile,      ///< core/io read_file
   kWriteFile,     ///< core/io write_file_atomic
   kRefill,        ///< ChunkedFileReader buffer refill
-  kWatchEvent,    ///< fam watcher change-event delivery
+  kWatchEvent,    ///< fam mailbox growth noticed by the shard drainer
   kStorageRead,   ///< storage buffer pool page load (pread)
   kStorageWrite,  ///< storage buffer pool dirty-page write-back (pwrite)
 };
@@ -61,7 +61,7 @@ enum class Kind : std::uint8_t {
   kShortWrite,     ///< write lands a prefix *and* reports kIoError
   kEnospc,         ///< write fails with an ENOSPC-style kIoError
   kDelayedRename,  ///< atomic-replace rename stalls, then succeeds
-  kSuppressEvent,  ///< watcher change event is dropped
+  kSuppressEvent,  ///< mailbox change event is dropped (one drain pass)
 };
 inline constexpr std::size_t kKindCount = 7;
 

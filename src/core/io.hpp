@@ -2,10 +2,11 @@
 // directories.
 //
 // The FAM log-file channel depends on two properties these helpers
-// provide: (1) `write_file_atomic` makes a log-record update appear all at
-// once (write to a sibling temp file, fsync-less rename), so the watcher
-// never observes a torn record; (2) `TempDir` gives each test / example an
-// isolated stand-in for the NFS-shared log folder.
+// provide: (1) `append_file` / `read_file_from` let a log grow by frames
+// and be read from a byte cursor, and `write_file_atomic` makes the
+// channel manifest appear all at once (write to a sibling temp file,
+// fsync-less rename); (2) `TempDir` gives each test / example an isolated
+// stand-in for the NFS-shared log folder.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,7 @@ Status append_file(const std::filesystem::path& path, std::string_view contents)
 /// the same directory).  Readers see either the old or the new contents,
 /// never a prefix.
 ///
-/// Contract: the staging file is named `<filename>.tmp.<n>` — directory
-/// watchers (fam::FileWatcher, fam::InotifyWatcher) rely on the ".tmp."
-/// infix to ignore in-flight updates.
+/// The staging file is named `<filename>.tmp.<n>` in the same directory.
 Status write_file_atomic(const std::filesystem::path& path,
                          std::string_view contents);
 

@@ -1,18 +1,18 @@
 // The host-node side of smartFAM (Fig. 5, "Returning results ... to a
 // host node").
 //
-// Client::invoke writes a request record into the module's log file and
-// waits for the daemon's response record with the matching sequence
-// number.  One outstanding request per module at a time — the log file
-// holds a single record — enforced with a per-module mutex, so concurrent
-// callers serialise instead of clobbering each other.
+// Client::invoke appends a request frame to the mailbox log its slot
+// hashes to and waits for the daemon's reply frame with the matching
+// sequence number in the slot's private reply log.  Each concurrent
+// invoke holds its own slot (client id + seq space + reply log), so
+// callers never serialise on one another; the daemon's `channel.mcsd`
+// manifest tells the client how many mailboxes there are.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,27 +27,20 @@ namespace mcsd::fam {
 
 struct ClientOptions {
   std::filesystem::path log_dir;
-  /// How often the host-side watcher re-reads the log file while waiting.
+  /// How often the client re-checks its reply log (and, before the
+  /// daemon exists, the channel manifest) while waiting.
   std::chrono::milliseconds poll_interval{1};
   /// Give up on one attempt after this long without a response.
   std::chrono::milliseconds timeout{10'000};
-  /// Total attempts per invoke (>= 1).  A retry re-reads the log to
-  /// re-seed the sequence counter, then re-sends under a fresh (higher)
-  /// seq — safe because the daemon dedupes by seq and one log file holds
-  /// a single in-flight request.  Retries paper over a storage node that
-  /// was still booting, a request record lost to a crash or suppressed
-  /// watcher event, a response clobbered by another host's request, and
-  /// transient I/O failures writing the request itself.  On the sharded
-  /// channel a retry simply re-sends under the slot's next seq (no
-  /// re-seeding needed: per-client seq spaces cannot collide).
+  /// Total attempts per invoke (>= 1).  A retry re-sends under the
+  /// slot's next seq; the daemon admits each seq once per client, so a
+  /// re-send can never be answered twice.  Retries paper over a storage
+  /// node that was still booting, a request frame lost to a torn append,
+  /// and transient I/O failures appending the request itself.
   int max_attempts = 1;
-  /// Tenant label stamped on rev-2 requests for daemon-side QoS
-  /// accounting ("" = the default tenant).
+  /// Tenant label stamped on requests for daemon-side QoS accounting
+  /// ("" = the default tenant).
   std::string tenant;
-  /// Pin the rev-1 single-record module-log channel even when the daemon
-  /// advertises the sharded mailbox — A/B baselines and the legacy
-  /// contention tests.
-  bool force_legacy = false;
   /// How many typed retry-after backpressure rejections one invoke
   /// absorbs (honoured with jittered exponential backoff) before
   /// surfacing kUnavailable.  Separate from max_attempts: a rejection is
@@ -65,14 +58,10 @@ struct InvokeInfo {
   std::uint64_t cache_epoch = 0;
   /// Request write .. response observed, as measured by this client.
   double round_trip_seconds = 0.0;
-  /// Rev 2: how many coalesced requests shared this module run (1 =
-  /// solo run, 0 = legacy channel / daemon without the field).
+  /// How many coalesced requests shared this module run (1 = solo run).
   std::uint64_t waiters = 0;
-  /// Rev 2: typed backpressure rejections absorbed before this invoke
-  /// succeeded.
+  /// Typed backpressure rejections absorbed before this invoke succeeded.
   int backpressure_retries = 0;
-  /// True when the invoke travelled the sharded mailbox channel.
-  bool sharded = false;
 };
 
 class Client {
@@ -95,18 +84,10 @@ class Client {
   }
 
  private:
-  /// Which channel this client speaks — discovered lazily from the
-  /// daemon's `channel.mcsd` manifest.
-  enum class Channel : std::uint8_t {
-    kUnknown,  ///< no manifest seen yet; rev-1 used until one appears
-    kLegacy,   ///< forced, or the manifest is unusable
-    kSharded,  ///< rev-2 mailbox channel
-  };
-
-  /// One concurrent-invoke identity on the sharded channel: a unique
-  /// client id (fresh seq space, so cross-client collisions vanish by
-  /// construction) plus its private reply file.  Slots are pooled and
-  /// reused across invokes; each holds at most one request in flight.
+  /// One concurrent-invoke identity: a unique client id (fresh seq space,
+  /// so cross-client collisions vanish by construction) plus its private
+  /// reply log.  Slots are pooled and reused across invokes; each holds
+  /// at most one request in flight.
   struct Slot {
     std::uint64_t client_id = 0;
     std::uint64_t next_seq = 1;
@@ -115,28 +96,13 @@ class Client {
     std::uint64_t reply_offset = 0;
   };
 
-  /// Reads the current record's seq (0 when the file is empty/comment).
-  std::uint64_t current_seq(const std::filesystem::path& log) const;
-
-  /// Probes the channel manifest (result cached once conclusive).
-  Channel resolve_channel(std::size_t& shards);
-
-  Result<KeyValueMap> invoke_legacy(std::string_view module,
-                                    const KeyValueMap& params,
-                                    InvokeInfo* info);
-  Result<KeyValueMap> invoke_sharded(std::string_view module,
-                                     const KeyValueMap& params,
-                                     InvokeInfo* info, std::size_t shards);
+  /// The daemon's shard count from its channel manifest, polling for the
+  /// manifest up to options_.timeout.  0 when none appeared in time.
+  std::size_t await_channel();
 
   ClientOptions options_;
-  std::mutex mutex_;  ///< guards per_module_, channel state, free_slots_
-  struct PerModule {
-    std::mutex in_flight;
-    std::uint64_t next_seq = 0;  ///< 0 = not yet initialised from the file
-  };
-  std::map<std::string, std::unique_ptr<PerModule>, std::less<>> per_module_;
-  Channel channel_ = Channel::kUnknown;
-  std::size_t shard_count_ = 0;
+  std::mutex mutex_;  ///< guards shard_count_ and free_slots_
+  std::size_t shard_count_ = 0;  ///< 0 until a manifest has been read
   std::vector<std::unique_ptr<Slot>> free_slots_;
   std::atomic<std::uint64_t> invocations_{0};
 };

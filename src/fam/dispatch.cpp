@@ -130,11 +130,11 @@ std::vector<Record> drain_shard(ShardDrain& shard) {
   const auto size = mcsd::file_size(shard.path);
   if (!size.is_ok() || size.value() <= shard.offset) return requests;
 
-  // Growth detected: this is the sharded channel's "change event", and
-  // the same fault site the rev-1 watcher exposes.  A suppressed event
-  // skips this pass without advancing the cursor — the next pass sees
-  // the same growth, so an injected lost wakeup costs latency, never a
-  // request.
+  // Growth detected: this size poll is the channel's file-alteration
+  // monitor, and its "change event" is the kWatchEvent fault site.  A
+  // suppressed event skips this pass without advancing the cursor — the
+  // next pass sees the same growth, so an injected lost wakeup costs
+  // latency, never a request.
   if (fault::check(fault::Site::kWatchEvent, shard.path.native()).kind ==
       fault::Kind::kSuppressEvent) {
     ++shard.suppressed;
@@ -150,7 +150,7 @@ std::vector<Record> drain_shard(ShardDrain& shard) {
   shard.drained += stream.records.size();
   for (Record& record : stream.records) {
     if (record.type != RecordType::kRequest) continue;
-    if (record.client_id == 0) continue;  // rev-2 frames carry a client id
+    if (record.client_id == 0) continue;  // every request carries a client id
     requests.push_back(std::move(record));
   }
   return requests;

@@ -42,9 +42,7 @@
 // and destroyed per run.  An out-of-core driver calling run() once per
 // fragment therefore stops paying workers x buckets vector construction
 // (and a heap free per unique key) for every fragment; fragment teardown
-// is one arena rewind per worker.  release_worker_state() drops the
-// cached state — the pre-reuse behaviour — for drivers that want the
-// memory back between jobs (and for A/B-measuring the reuse win).
+// is one arena rewind per worker.
 //
 // Observability: run() opens obs spans per phase (mr.map / mr.reduce /
 // mr.merge, plus per-worker and per-bucket child spans) and publishes
@@ -157,15 +155,6 @@ class Engine {
   /// node's cores never sit behind a second, idle pool.  Only use between
   /// run() calls — run() assumes every pool lane is its own.
   [[nodiscard]] ThreadPool& pool() noexcept { return *pool_; }
-
-  /// Drops the reusable per-worker state (emitters, key arenas, gather
-  /// buffers).  The next run() rebuilds it from scratch — the per-run
-  /// cost the reuse path exists to avoid; kept callable so drivers can
-  /// return memory between jobs and benches can A/B the reuse win.
-  void release_worker_state() noexcept {
-    worker_state_.clear();
-    worker_state_.shrink_to_fit();
-  }
 
   /// Runs the full pipeline over `chunks`.  `input_bytes` is the job's
   /// input size for the memory model; pass 0 to derive it from text

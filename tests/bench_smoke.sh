@@ -111,14 +111,14 @@ grep -q '"hit_phase_all_hits": true' BENCH_fam.json || {
 
 # bench_record serve: a tiny 64-client run over the sharded mailbox
 # channel must record throughput and tail latency for both arms (the
-# sharded entry and its single-log baseline), the coalesce rate, the
+# sharded entry and its one-shard baseline), the coalesce rate, the
 # backpressure phase, and — non-negotiably — an exactly-once ledger of
 # zero lost and zero duplicated responses.
 "$TOOLS_DIR/bench_record" --suite serve --bytes 64K --reps 1 \
     --workers 2 --label smoke --out BENCH_fam.json > /dev/null
 for needle in throughput_rps serve_p50_ms serve_p99_ms coalesce_rate \
-    speedup_vs_single_log backpressure_p99_ms backpressure_retries \
-    smoke-single-log; do
+    speedup_vs_one_shard backpressure_p99_ms backpressure_retries \
+    smoke-one-shard; do
   grep -q "$needle" BENCH_fam.json || {
     echo "BENCH_fam.json: missing '$needle'"; exit 1;
   }
@@ -164,14 +164,12 @@ rank_b=$(grep '"policy_ranking"' BENCH_cluster.json | tail -1)
   echo "cluster suite: policy ranking not deterministic"; exit 1;
 }
 
-# bench_record mapreduce: a tiny run must record the per-phase breakdown,
-# scaling efficiency, and the worker-state-reuse A/B.  CI uploads the
-# JSON as an artifact.
+# bench_record mapreduce: a tiny run must record the per-phase breakdown
+# and scaling efficiency.  CI uploads the JSON as an artifact.
 "$TOOLS_DIR/bench_record" --suite mapreduce --bytes 1M --reps 2 \
     --workers 1,2 --label smoke --out BENCH_mapreduce.json > /dev/null
 for needle in wordcount_engine wordcount_map_ms wordcount_reduce_ms \
-    wordcount_merge_ms scaling_efficiency fragment_setup_cold_us \
-    fragment_setup_warm_us setup_overhead_reduction_pct; do
+    wordcount_merge_ms scaling_efficiency; do
   grep -q "$needle" BENCH_mapreduce.json || {
     echo "BENCH_mapreduce.json: missing '$needle'"; exit 1;
   }

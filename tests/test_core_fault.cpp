@@ -13,7 +13,8 @@
 
 #include "core/io.hpp"
 #include "core/stopwatch.hpp"
-#include "fam/watcher.hpp"
+#include "fam/dispatch.hpp"
+#include "fam/protocol.hpp"
 #include "obs/counters.hpp"
 
 namespace mcsd::fault {
@@ -207,29 +208,29 @@ TEST(FaultInjection, RefillRetryExhaustionPropagates) {
 
 TEST(FaultInjection, WatcherEventSuppressionDropsOneDelivery) {
   TempDir dir{"fault"};
-  const auto path = dir / "watched.txt";
-  ASSERT_TRUE(write_file_atomic(path, "v1").is_ok());
+  fam::dispatch::ShardDrain shard;
+  shard.path = dir / "shard-0.log";
+  fam::Record request;
+  request.type = fam::RecordType::kRequest;
+  request.seq = 1;
+  request.module = "echo";
+  request.client_id = 7;
+  ASSERT_TRUE(append_file(shard.path, fam::encode_record(request)).is_ok());
 
-  std::vector<std::string> fired;
-  fam::FileWatcher watcher{dir.path(), 1000ms,
-                           [&](const std::filesystem::path& p) {
-                             fired.push_back(p.filename().string());
-                           }};
   FaultScope scope{plan_or_die("watch.suppress=@1")};
-  ASSERT_TRUE(write_file_atomic(path, "v2").is_ok());
-  watcher.poll_once();
-  EXPECT_TRUE(fired.empty());  // the change was observed but not delivered
+  // The growth was observed but not delivered: the pass drains nothing.
+  EXPECT_TRUE(fam::dispatch::drain_shard(shard).empty());
+  EXPECT_EQ(shard.suppressed, 1u);
+  EXPECT_EQ(shard.offset, 0u);
   EXPECT_EQ(Injector::instance().injected(Site::kWatchEvent,
                                           Kind::kSuppressEvent),
             1u);
 
-  // The event is permanently lost (fingerprint already advanced) — only
-  // a *new* change fires, which is why clients must re-send on timeout.
-  watcher.poll_once();
-  EXPECT_TRUE(fired.empty());
-  ASSERT_TRUE(write_file_atomic(path, "v3").is_ok());
-  watcher.poll_once();
-  EXPECT_EQ(fired, std::vector<std::string>{"watched.txt"});
+  // The cursor did not move, so the next pass sees the same growth: a
+  // lost change event costs one drain interval, never the request.
+  const auto drained = fam::dispatch::drain_shard(shard);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].client_id, 7u);
 }
 
 TEST(FaultInjection, PathFilterSparesOtherFilesWithoutConsumingSteps) {

@@ -48,7 +48,7 @@ std::shared_ptr<Module> adder_module() {
 
 struct FamFixture : ::testing::Test {
   FamFixture()
-      : daemon(DaemonOptions{log_dir.path(), 1ms, 2}),
+      : daemon(DaemonOptions{log_dir.path(), 2}),
         client(ClientOptions{log_dir.path(), 1ms, 30'000ms}) {}
 
   TempDir log_dir{"famtest"};
@@ -224,125 +224,54 @@ TEST_F(FamFixture, ConcurrentCallersOnSameModuleSerialise) {
   EXPECT_EQ(daemon.requests_handled(), 4u);
 }
 
-// Regression for the response-clobbers-newer-request bug: request seq N
-// is dispatching while request seq N+1 lands in the log.  Without the
-// conflict guard the daemon's seq-N response atomically replaces the
-// seq-N+1 request; the polling watcher's fingerprint then advances past
-// it and seq N+1 is never answered.  The fixed daemon re-reads the log
-// before responding, drops the stale response, and re-dispatches the
-// newer request.
-TEST(ResponseConflict, ResponseNeverClobbersNewerRequest) {
-  TempDir dir{"famclobber"};
-  // A slow poll cadence leaves a wide window between "module finished"
-  // and "watcher would next observe the log" — the exact window where
-  // the unguarded write lost the newer request.
-  Daemon daemon{DaemonOptions{dir.path(), 150ms, 1}};
-  std::atomic<bool> entered{false};
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  ASSERT_TRUE(daemon
-                  .preload(std::make_shared<FunctionModule>(
-                      "slow",
-                      [&](const KeyValueMap& params) -> Result<KeyValueMap> {
-                        entered.store(true);
-                        std::unique_lock lock{gate_mutex};
-                        gate_cv.wait(lock, [&] { return gate_open; });
-                        KeyValueMap out;
-                        out.set("tag", params.get_or("tag", ""));
-                        return out;
-                      }))
-                  .is_ok());
-  daemon.start();
-  const auto log = dir / "slow.log";
-
-  Record first;
-  first.type = RecordType::kRequest;
-  first.seq = 1;
-  first.module = "slow";
-  first.payload.set("tag", "one");
-  ASSERT_TRUE(write_file_atomic(log, encode_record(first)).is_ok());
-  for (int i = 0; i < 5000 && !entered.load(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_TRUE(entered.load()) << "request 1 never reached the module";
-
-  // Request 2 lands while the module still chews on request 1; releasing
-  // the gate right after makes the seq-1 response race the next poll.
-  Record second = first;
-  second.seq = 2;
-  second.payload.set("tag", "two");
-  ASSERT_TRUE(write_file_atomic(log, encode_record(second)).is_ok());
-  {
-    std::lock_guard lock{gate_mutex};
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-
-  bool answered = false;
-  for (int i = 0; i < 5000 && !answered; ++i) {
-    if (const auto contents = read_file(log); contents.is_ok()) {
-      if (const auto record = decode_record(contents.value());
-          record.is_ok() && record.value().type == RecordType::kResponse &&
-          record.value().seq == 2) {
-        EXPECT_EQ(record.value().payload.get("tag"), "two");
-        answered = true;
-      }
-    }
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(answered) << "request 2 was clobbered and never answered";
-  // The module finished request 1 strictly after request 2 was in the
-  // log, so the guard must have seen (and counted) the conflict.
-  EXPECT_GE(daemon.response_conflicts(), 1u);
-  daemon.stop();
-}
-
-// Two Client objects sharing one module log — the paper's multi-host
-// scenario.  The client that falls behind sends a stale seq; the daemon
-// answers with its high-water mark (mcsd.last) and the client re-seeds
-// and retries instead of burning its full timeout budget.
+// Two Client objects on one folder at channel_shards = 1 — the paper's
+// multi-host scenario on its single log: both hosts append to the same
+// shards/shard-0.log.  Per-client seq spaces keep the interleaved frames
+// apart, so every invoke succeeds with exactly one reply.
 TEST(SeqCollision, TwoClientsSharingOneModuleLogBothSucceed) {
   TempDir dir{"famcollide"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 2}};
+  DaemonOptions dopts{dir.path(), 2};
+  dopts.channel_shards = 1;
+  Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   daemon.start();
 
-  ClientOptions copts{dir.path(), 1ms, 5'000ms};
-  copts.max_attempts = 4;
-  // This contention machinery only exists on the rev-1 channel; the
-  // sharded mailbox eliminates cross-client collisions by construction
-  // (per-client seq spaces), so pin legacy to keep exercising it.
-  copts.force_legacy = true;
+  ClientOptions copts;
+  copts.log_dir = dir.path();
+  copts.timeout = 5'000ms;
   Client a{copts};
   Client b{copts};
+  constexpr int kRounds = 10;
+  const auto host = [&](Client& client, const std::string& who) {
+    for (int i = 0; i < kRounds; ++i) {
+      KeyValueMap params;
+      params.set("who", who + std::to_string(i));
+      const auto result = client.invoke("echo", params);
+      ASSERT_TRUE(result.is_ok()) << result.error().to_string();
+      EXPECT_EQ(result.value().get("who"), who + std::to_string(i));
+    }
+  };
+  std::thread host_a{host, std::ref(a), "a"};
+  std::thread host_b{host, std::ref(b), "b"};
+  host_a.join();
+  host_b.join();
+  daemon.stop();
 
-  KeyValueMap params;
-  params.set("who", "a1");
-  ASSERT_TRUE(a.invoke("echo", params).is_ok());  // a's next seq: 2
-
-  // b seeds from the log (sees a's response, seq 1) and advances the
-  // channel past a's bookkeeping.
-  params.set("who", "b1");
-  ASSERT_TRUE(b.invoke("echo", params).is_ok());  // seq 2
-  params.set("who", "b2");
-  ASSERT_TRUE(b.invoke("echo", params).is_ok());  // seq 3
-
-  // a now sends seq 2 < 3: stale.  The daemon's mcsd.last reply re-seeds
-  // a to seq 4 and the retry lands.
-  params.set("who", "a2");
-  const auto recovered = a.invoke("echo", params);
-  ASSERT_TRUE(recovered.is_ok()) << recovered.error().to_string();
-  EXPECT_EQ(recovered.value().get("who"), "a2");
-  EXPECT_GE(daemon.stale_replies(), 1u);
-  EXPECT_EQ(daemon.requests_handled(), 4u);  // stale replies aren't handled
+  EXPECT_EQ(daemon.requests_handled(), 2u * kRounds);
+  EXPECT_EQ(daemon.reply_conflicts(), 0u);
+  const auto shards = daemon.shard_stats();
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].drained, 2u * kRounds);
 }
 
-// stop() drains: every request the watcher accepted before stop() still
-// gets a response; only post-close arrivals are counted as dropped.
+// stop() drains: every frame appended to a mailbox before stop() gets a
+// reply — including one appended just before the call, which only the
+// drainer's final pass can see — and nothing is dropped.
 TEST(DaemonStop, DrainsAcceptedRequestsBeforeStopping) {
   TempDir dir{"famdrain"};
-  Daemon daemon{DaemonOptions{dir.path(), 5ms, 1}};
+  DaemonOptions dopts{dir.path(), 1};
+  dopts.channel_shards = 1;
+  Daemon daemon{dopts};
   const std::vector<std::string> modules{"drain1", "drain2", "drain3"};
   for (const std::string& name : modules) {
     ASSERT_TRUE(daemon
@@ -357,69 +286,78 @@ TEST(DaemonStop, DrainsAcceptedRequestsBeforeStopping) {
                     .is_ok());
   }
   daemon.start();
-  for (const std::string& name : modules) {
+  const auto mailbox = dir / std::string{kShardDirName} / shard_file_name(0);
+  const auto send = [&](std::size_t k) {
     Record request;
     request.type = RecordType::kRequest;
     request.seq = 1;
-    request.module = name;
-    ASSERT_TRUE(
-        write_file_atomic(dir / (name + ".log"), encode_record(request))
-            .is_ok());
-  }
-  // One dispatcher, 150 ms per module: by now all three requests are
-  // enqueued but at most one is done.  stop() must finish the backlog.
+    request.module = modules[k];
+    request.client_id = k + 1;
+    ASSERT_TRUE(append_file(mailbox, encode_record(request)).is_ok());
+  };
+  send(0);
+  send(1);
+  // One batch worker, 150 ms per module: by now both requests are queued
+  // but at most one is done.  The third frame lands right before stop().
   std::this_thread::sleep_for(100ms);
+  send(2);
   daemon.stop();
+
   EXPECT_EQ(daemon.requests_handled(), 3u);
   EXPECT_EQ(daemon.dropped_on_shutdown(), 0u);
-  for (const std::string& name : modules) {
-    const auto contents = read_file(dir / (name + ".log"));
-    ASSERT_TRUE(contents.is_ok());
-    const auto record = decode_record(contents.value());
-    ASSERT_TRUE(record.is_ok()) << name;
-    EXPECT_EQ(record.value().type, RecordType::kResponse) << name;
-    EXPECT_EQ(record.value().seq, 1u) << name;
-    EXPECT_EQ(record.value().payload.get("drained"), "true") << name;
+  for (std::size_t k = 0; k < modules.size(); ++k) {
+    const auto contents =
+        read_file(dir / std::string{kReplyDirName} / reply_file_name(k + 1));
+    ASSERT_TRUE(contents.is_ok()) << modules[k];
+    const FrameStream replies = decode_frame_stream(contents.value());
+    ASSERT_EQ(replies.records.size(), 1u) << modules[k];
+    const Record& reply = replies.records[0];
+    EXPECT_EQ(reply.type, RecordType::kResponse) << modules[k];
+    EXPECT_EQ(reply.seq, 1u) << modules[k];
+    EXPECT_EQ(reply.payload.get("drained"), "true") << modules[k];
   }
 }
 
-// A transient read failure while the client seeds its sequence number
-// must not reset it to 1 (which the daemon would silently drop as a
-// duplicate).  The retry inside current_seq absorbs the glitch, so even
-// a single-attempt client succeeds.
-TEST(ClientRetry, SeqSeedingSurvivesTransientReadFailure) {
-  TempDir dir{"famseed"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
-  ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
+// A reply the daemon has delivered must survive failed reads of the reply
+// log.  The reply lands once and the file never changes again, so a
+// client that marked the log "seen" after a failed (or torn) read would
+// wait out its timeout with the answer on disk.
+std::shared_ptr<Module> slow_echo_module() {
+  return std::make_shared<FunctionModule>(
+      "slow", [](const KeyValueMap& params) -> Result<KeyValueMap> {
+        std::this_thread::sleep_for(100ms);
+        return params;
+      });
+}
+
+Result<KeyValueMap> invoke_once_under(const std::string& fault_spec) {
+  TempDir dir{"famreplyread"};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
+  EXPECT_TRUE(daemon.preload(slow_echo_module()).is_ok());
   daemon.start();
-
-  ClientOptions copts{dir.path(), 1ms, 5'000ms};
-  Client warmup{copts};
-  KeyValueMap params;
-  params.set("who", "warmup");
-  ASSERT_TRUE(warmup.invoke("echo", params).is_ok());  // daemon last = 1
-
-  // A fresh client's very first log reads (the seq seeding) fail with
-  // EIO.  Without the in-place retry it would fall back to seq 1,
-  // collide with the handled seq above, and time out.  Three scheduled
-  // steps because the daemon's polling fingerprint shares the read site:
-  // whichever thread absorbs a step, the client's first read still
-  // faults, and the five seeding attempts still outlast the schedule.
-  copts.max_attempts = 1;
+  ClientOptions copts;
+  copts.log_dir = dir.path();
   copts.timeout = 2'000ms;
-  Client fresh{copts};
-  fault::FaultScope scope{
-      fault::FaultPlan::from_spec("read.eio=@1+2+3,path_filter=echo.log")
-          .value()};
-  params.set("who", "fresh");
-  const auto result = fresh.invoke("echo", params);
-  ASSERT_TRUE(result.is_ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().get("who"), "fresh");
+  copts.max_attempts = 1;
+  Client client{copts};
+  fault::FaultScope scope{fault::FaultPlan::from_spec(fault_spec).value()};
+  KeyValueMap params;
+  params.set("who", "delivered");
+  return client.invoke("slow", params);
+}
+
+TEST(ClientRetry, ReplyReadFailureDoesNotLoseDeliveredReply) {
+  for (const char* spec : {"read.eio=@1+2,path_filter=replies",
+                           "read.torn=@1+2,path_filter=replies"}) {
+    const auto result = invoke_once_under(spec);
+    ASSERT_TRUE(result.is_ok()) << spec << ": " << result.error().to_string();
+    EXPECT_EQ(result.value().get("who"), "delivered") << spec;
+  }
 }
 
 TEST(ClientRetry, SecondAttemptSucceedsAfterLateDaemonStart) {
   TempDir dir{"famretry"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   // Daemon not started yet: the first attempt must time out.
 
@@ -444,7 +382,7 @@ TEST(ClientRetry, SecondAttemptSucceedsAfterLateDaemonStart) {
 
 TEST(ClientRetry, ExhaustedAttemptsReportAttemptCount) {
   TempDir dir{"famretry"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   // Never started.
   ClientOptions copts;
@@ -571,7 +509,7 @@ TEST_F(FamFixture, ModuleWithoutCacheInputsNeverCached) {
 
 TEST(ResultCacheConfig, ZeroBytesDisablesTheCache) {
   TempDir dir{"famnocache"};
-  DaemonOptions options{dir.path(), std::chrono::milliseconds{1}, 2};
+  DaemonOptions options{dir.path(), 2};
   options.result_cache_bytes = 0;
   Daemon daemon{options};
   EXPECT_EQ(daemon.result_cache(), nullptr);
@@ -629,60 +567,93 @@ TEST(ModuleRegistry, Basics) {
 TEST(DaemonConfig, ParsesAllKeys) {
   const auto parsed = KeyValueMap::parse(
       "log_dir=/srv/mcsd\n"
-      "poll_interval_ms=7\n"
       "dispatch_threads=4\n"
-      "backend=inotify\n");
+      "pool_bytes=8MiB\n"
+      "result_cache_bytes=1MiB\n"
+      "channel_shards=1\n"
+      "admission_queue_limit=16\n"
+      "drain_interval_ms=3\n");
   ASSERT_TRUE(parsed.is_ok());
   const auto options = daemon_options_from_config(parsed.value());
-  ASSERT_TRUE(options.is_ok());
+  ASSERT_TRUE(options.is_ok()) << options.error().to_string();
   EXPECT_EQ(options.value().log_dir, "/srv/mcsd");
-  EXPECT_EQ(options.value().poll_interval, std::chrono::milliseconds{7});
   EXPECT_EQ(options.value().dispatch_threads, 4u);
-  EXPECT_EQ(options.value().backend, WatcherBackend::kInotify);
+  EXPECT_EQ(options.value().pool_bytes, 8u << 20);
+  EXPECT_EQ(options.value().result_cache_bytes, 1u << 20);
+  EXPECT_EQ(options.value().channel_shards, 1u);
+  EXPECT_EQ(options.value().admission_queue_limit, 16u);
+  EXPECT_EQ(options.value().drain_interval, std::chrono::milliseconds{3});
 }
 
 TEST(DaemonConfig, DefaultsApplyForOmittedKeys) {
   const auto options = daemon_options_from_config(KeyValueMap{});
   ASSERT_TRUE(options.is_ok());
-  EXPECT_EQ(options.value().poll_interval, kDefaultWatcherPollInterval);
-  EXPECT_EQ(options.value().backend, WatcherBackend::kPolling);
+  EXPECT_EQ(options.value().dispatch_threads, 1u);
+  EXPECT_EQ(options.value().channel_shards, 8u);
+  EXPECT_EQ(options.value().admission_queue_limit, 256u);
+  EXPECT_EQ(options.value().drain_interval, std::chrono::milliseconds{1});
 }
 
 TEST(DaemonConfig, RejectsBadValuesAndUnknownKeys) {
-  const auto bad_interval =
-      KeyValueMap::parse("poll_interval_ms=0\n");
-  ASSERT_TRUE(bad_interval.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(bad_interval.value()).is_ok());
-
-  const auto bad_backend = KeyValueMap::parse("backend=dbus\n");
-  ASSERT_TRUE(bad_backend.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(bad_backend.value()).is_ok());
-
-  const auto typo = KeyValueMap::parse("pol_interval_ms=2\n");
-  ASSERT_TRUE(typo.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(typo.value()).is_ok());
+  for (const char* bad : {"drain_interval_ms=0\n", "dispatch_threads=0\n",
+                          "pol_interval_ms=2\n",
+                          // Keys of the retired module-log watcher.
+                          "poll_interval_ms=2\n", "backend=inotify\n"}) {
+    const auto parsed = KeyValueMap::parse(bad);
+    ASSERT_TRUE(parsed.is_ok()) << bad;
+    EXPECT_FALSE(daemon_options_from_config(parsed.value()).is_ok()) << bad;
+  }
 }
 
-// The configured interval surfaces in the watcher's poll-latency
-// histogram label, so a trace attributes latency to the cadence that
-// produced it.
-#if MCSD_OBS_ENABLED
-TEST(DaemonConfig, PollIntervalLabelsWatcherHistogram) {
-  TempDir dir{"famcfg"};
-  const auto parsed = KeyValueMap::parse("poll_interval_ms=9\n");
+// The mailbox channel is the only channel: zero shards would leave the
+// daemon unreachable, so both the config parser and the constructor
+// refuse it.
+TEST(DaemonConfig, ZeroShardsRejected) {
+  const auto parsed = KeyValueMap::parse("channel_shards=0\n");
   ASSERT_TRUE(parsed.is_ok());
-  auto options = daemon_options_from_config(parsed.value());
-  ASSERT_TRUE(options.is_ok());
-  options.value().log_dir = dir.path();
-  Daemon daemon{std::move(options).value()};
+  EXPECT_FALSE(daemon_options_from_config(parsed.value()).is_ok());
+
+  TempDir dir{"famzeroshards"};
+  DaemonOptions options{dir.path(), 1};
+  options.channel_shards = 0;
+  EXPECT_THROW(Daemon{options}, std::runtime_error);
+}
+
+// The daemon splits its module-run histogram by result-cache outcome, so
+// a trace shows what a hit saves over a cold run.
+#if MCSD_OBS_ENABLED
+TEST(DaemonObs, DispatchHistogramsSplitHitFromCold) {
+  const auto count_of = [](std::string_view name) {
+    for (const auto& h : obs::Registry::instance().snapshot().histograms) {
+      if (h.name == name) return h.data.count;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t hits_before = count_of("fam.dispatch_hit_us");
+  const std::uint64_t cold_before = count_of("fam.dispatch_cold_us");
+
+  TempDir dir{"famobs"};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
+  std::atomic<int> executions{0};
+  ASSERT_TRUE(daemon.preload(counting_module(executions)).is_ok());
   daemon.start();
+  const auto corpus = dir / "corpus.txt";
+  ASSERT_TRUE(write_file(corpus, "hit or miss").is_ok());
+  ClientOptions copts;
+  copts.log_dir = dir.path();
+  Client client{copts};
+  KeyValueMap params;
+  params.set("input", corpus.string());
+  InvokeInfo miss;
+  ASSERT_TRUE(client.invoke("counted", params, &miss).is_ok());
+  InvokeInfo hit;
+  ASSERT_TRUE(client.invoke("counted", params, &hit).is_ok());
   daemon.stop();
-  const auto snap = obs::Registry::instance().snapshot();
-  bool found = false;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "fam.watcher_poll_us(interval=9ms)") found = true;
-  }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(miss.cache, CacheState::kMiss);
+  ASSERT_EQ(hit.cache, CacheState::kHit);
+
+  EXPECT_GE(count_of("fam.dispatch_cold_us") - cold_before, 1u);
+  EXPECT_GE(count_of("fam.dispatch_hit_us") - hits_before, 1u);
 }
 #endif
 

@@ -589,19 +589,6 @@ TEST(Engine, MapWorkerStatsAttributeTheMapPhase) {
   EXPECT_EQ(plain_attributed, 0.0);
 }
 
-TEST(Engine, ReleaseWorkerStateKeepsResultsCorrect) {
-  apps::CorpusOptions corpus;
-  corpus.bytes = 32 * 1024;
-  const std::string text = apps::generate_corpus(corpus);
-  Options opts;
-  opts.num_workers = 2;
-  Engine<WordCountSpec> engine{opts};
-  const auto chunks = split_text(text, 4 * 1024);
-  const auto reference = to_map(engine.run(WordCountSpec{}, chunks));
-  engine.release_worker_state();
-  EXPECT_EQ(to_map(engine.run(WordCountSpec{}, chunks)), reference);
-}
-
 TEST(Engine, BudgetObservesCombinedVolume) {
   // Low-entropy input: raw emits dwarf unique keys, and the byte meter
   // must see only the combined (unique-key) volume.

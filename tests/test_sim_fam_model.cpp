@@ -54,7 +54,9 @@ TEST(FamModel, MatchesRealRoundTripWithinAnOrderOfMagnitude) {
   // Validate the model against the real stack: a no-op module invoked
   // through actual log files with the model's poll intervals.
   TempDir dir{"fammodel"};
-  fam::Daemon daemon{fam::DaemonOptions{dir.path(), 2ms, 1}};
+  fam::DaemonOptions options{dir.path(), 1};
+  options.drain_interval = 2ms;
+  fam::Daemon daemon{options};
   ASSERT_TRUE(daemon
                   .preload(std::make_shared<fam::FunctionModule>(
                       "noop",

@@ -5,14 +5,16 @@ set -eu
 
 BIN_DIR="$1"
 WORK=$(mktemp -d)
-trap 'kill $DPID 2>/dev/null || true; rm -rf "$WORK"' EXIT
+DPID=""
+ONE_PID=""
+trap 'kill $DPID $ONE_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 printf 'hello world hello mcsd world hello\n' > "$WORK/corpus.txt"
 printf 'a,1\nb,2\nc,3\n' > "$WORK/t.csv"
 
 # Daemon options come from a config file (--dir stays a flag override);
 # hold the daemon's stdin open with a fifo so it keeps serving.
-printf 'poll_interval_ms=2\ndispatch_threads=2\n' > "$WORK/daemon.conf"
+printf 'drain_interval_ms=1\ndispatch_threads=2\n' > "$WORK/daemon.conf"
 mkfifo "$WORK/ctl"
 "$BIN_DIR/mcsd_daemon" --dir "$WORK" --config "$WORK/daemon.conf" \
     --trace-out "$WORK/daemon-trace.json" < "$WORK/ctl" &
@@ -47,6 +49,27 @@ if "$BIN_DIR/mcsd_daemon" --dir "$WORK" --config "$WORK/bad.conf" \
     < /dev/null 2>/dev/null; then
   echo "bad config unexpectedly accepted"; exit 1
 fi
+
+# --shards 1 is the paper's single log: every request is appended to
+# one mailbox, shards/shard-0.log.
+ONE="$WORK/one"
+mkdir -p "$ONE"
+mkfifo "$ONE/ctl"
+"$BIN_DIR/mcsd_daemon" --dir "$ONE" --shards 1 < "$ONE/ctl" > /dev/null &
+ONE_PID=$!
+exec 4>"$ONE/ctl"
+for _ in $(seq 1 100); do
+  [ -f "$ONE/wordcount.log" ] && break
+  sleep 0.05
+done
+OUT=$("$BIN_DIR/mcsd_invoke" --dir "$ONE" --module wordcount \
+      "input=$WORK/corpus.txt" top=1)
+echo "$OUT" | grep -q 'total=6' || { echo "bad --shards 1 wc: $OUT"; exit 1; }
+[ "$(ls "$ONE/shards")" = "shard-0.log" ] || {
+  echo "--shards 1 did not serve one mailbox: $(ls "$ONE/shards")"; exit 1;
+}
+exec 4>&-
+wait $ONE_PID 2>/dev/null || true
 
 # Clean daemon shutdown writes the trace requested via --trace-out.
 printf 'q' >&3 || true

@@ -37,11 +37,7 @@
 //   * wall_scaling_efficiency/N — the raw throughput(N) / (N x
 //     throughput(1)) (the pre-host-aware series, kept for continuity);
 //   * output_identical_across_workers — engine output compared pairwise
-//     across the measured worker counts;
-//   * fragment_{run,setup}_{cold,warm}_us, setup_overhead_reduction_pct
-//     — engine worker-state reuse A/B on a fragment-sized input: "cold"
-//     releases the cached emitters/arenas before every run, "warm"
-//     reuses them (the out-of-core driver's regime).
+//     across the measured worker counts.
 //
 // Suite `obs` records what the observability layer costs:
 //   * wordcount_obs_on/N, wordcount_obs_off/N — the instrumented engine
@@ -307,72 +303,6 @@ void run_mapreduce_suite(bench::TrajectoryEntry& entry,
   }
   entry.add_field("output_identical_across_workers",
                   outputs_identical ? "true" : "false");
-
-  // Engine worker-state reuse A/B on a fragment-sized input: arm "cold"
-  // drops the cached emitters/arenas/gather buffers before every run
-  // (the pre-reuse per-fragment construction cost); arm "warm" reuses
-  // them, as the out-of-core driver does.  Both arms run the identical
-  // input, so the cold arm's extra per-run time IS the state rebuild
-  // cost — it cannot be read off the phase clocks alone, because lazy
-  // vector/arena regrowth lands inside the map phase.  Setup overhead is
-  // therefore estimated as (cold - warm median run time) plus the warm
-  // arm's residue outside the phase clocks (worker-state reset, output
-  // bookkeeping).  Measured at one worker: run() then executes inline,
-  // so the estimate is free of thread-dispatch jitter — which on a
-  // core-constrained runner is far larger than the quantity measured.
-  {
-    apps::CorpusOptions frag_corpus;
-    frag_corpus.bytes = std::max<std::uint64_t>(bytes / 32, 64 * 1024);
-    frag_corpus.vocabulary = 5'000;
-    const std::string fragment = apps::generate_corpus(frag_corpus);
-    const auto frag_chunks = mr::split_text(fragment, 64 * 1024);
-    mr::Options opts;
-    opts.num_workers = 1;
-    mr::Engine<apps::WordCountSpec> engine{opts};
-    const int runs = std::max(64, 32 * reps);
-
-    // Median per-run total and residue (total minus the engine's own
-    // phase clocks); medians, not best-of, so neither arm wins by the
-    // luckiest scheduling slice.
-    const auto measure_arm = [&](bool cold) {
-      std::vector<double> totals(static_cast<std::size_t>(runs));
-      std::vector<double> residues(static_cast<std::size_t>(runs));
-      mr::Metrics m;
-      for (int i = 0; i < runs; ++i) {
-        if (cold) engine.release_worker_state();
-        Stopwatch watch;
-        g_sink = g_sink +
-                 engine.run(apps::WordCountSpec{}, frag_chunks, 0, &m).size();
-        const double total = watch.elapsed_seconds();
-        totals[static_cast<std::size_t>(i)] = total;
-        residues[static_cast<std::size_t>(i)] =
-            total - (m.map_seconds + m.reduce_seconds + m.merge_seconds);
-      }
-      std::sort(totals.begin(), totals.end());
-      std::sort(residues.begin(), residues.end());
-      const auto mid = static_cast<std::size_t>(runs) / 2;
-      return std::pair{totals[mid], residues[mid]};
-    };
-
-    g_sink = g_sink +
-             engine.run(apps::WordCountSpec{}, frag_chunks).size();  // warmup
-    const auto [cold_run_s, cold_residue_s] = measure_arm(true);
-    const auto [warm_run_s, warm_residue_s] = measure_arm(false);
-    const double warm_setup_s = std::max(0.0, warm_residue_s);
-    const double cold_setup_s =
-        warm_setup_s + std::max(0.0, cold_run_s - warm_run_s);
-    entry.add_field("reuse_fragment_bytes", std::to_string(fragment.size()));
-    entry.add_number("fragment_run_cold_us", cold_run_s * 1e6, 1);
-    entry.add_number("fragment_run_warm_us", warm_run_s * 1e6, 1);
-    entry.add_number("fragment_setup_cold_us", cold_setup_s * 1e6, 1);
-    entry.add_number("fragment_setup_warm_us", warm_setup_s * 1e6, 1);
-    entry.add_number("setup_overhead_reduction_pct",
-                     cold_setup_s > 0.0
-                         ? (cold_setup_s - warm_setup_s) / cold_setup_s * 100.0
-                         : 0.0,
-                     1);
-    (void)cold_residue_s;  // folded into cold_setup via the run-time delta
-  }
 
   {
     apps::LineFileOptions lf;
@@ -753,11 +683,6 @@ void run_cache_suite(bench::TrajectoryEntry& entry,
 
   fam::DaemonOptions daemon_options;
   daemon_options.log_dir = log_dir;
-  // inotify (the paper's FAM) keeps the hit path's floor at the channel
-  // write+wake, not a polling interval; falls back to polling where
-  // unavailable and the backend actually used is recorded below.
-  daemon_options.backend = fam::WatcherBackend::kInotify;
-  daemon_options.poll_interval = std::chrono::milliseconds{1};
   daemon_options.dispatch_threads = 2;
   // Pool sized to hold the whole universe: warm misses must pay compute,
   // not eviction-induced reloads.
@@ -874,10 +799,6 @@ void run_cache_suite(bench::TrajectoryEntry& entry,
 
   const double cold_p50 = percentile_ms(cold_s, 50.0);
   const double hit_p50 = percentile_ms(hit_s, 50.0);
-  entry.add_field("backend",
-                  daemon.active_backend() == fam::WatcherBackend::kInotify
-                      ? "\"inotify\""
-                      : "\"polling\"");
   entry.add_number("cold_p50_ms", cold_p50, 3);
   entry.add_number("cold_p99_ms", percentile_ms(cold_s, 99.0), 3);
   entry.add_number("warm_miss_p50_ms", percentile_ms(miss_s, 50.0), 3);
@@ -965,11 +886,11 @@ ServeArmResult run_serve_arm(fam::Client& client,
   return arm;
 }
 
-// Suite `serve` measures the rev-2 sharded mailbox channel against the
-// rev-1 single-log baseline at high client concurrency (ROADMAP item 2):
-// 64 client threads, the same cacheable wordcount asks, two arms on two
-// daemons — sharded mailboxes vs force_legacy single-record logs.  The
-// headline is invoke throughput (rps) and its ratio, plus p50/p99,
+// Suite `serve` measures the sharded mailbox channel against its one-shard
+// configuration — the paper's single log — at high client concurrency
+// (ROADMAP item 2): 64 client threads, the same cacheable wordcount asks,
+// two arms on two daemons — 8 mailboxes vs 1.  The headline is invoke
+// throughput (rps) and its ratio, plus p50/p99,
 // coalesce rate, and the exactly-once ledger (responses_lost /
 // responses_duplicated must both be 0).  A third phase points the
 // sharded clients at a daemon with a tiny admission bound so every
@@ -983,8 +904,7 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
   constexpr int kClients = 64;
   constexpr std::size_t kUniverse = 4;
   const std::size_t workers = worker_counts.empty() ? 2 : worker_counts.back();
-  const int sharded_invokes = std::max(reps, 1) * 25;
-  const int legacy_invokes = std::max(std::max(reps, 1) * 25 / 8, 2);
+  const int invokes_per_client = std::max(reps, 1) * 25;
 
   TempDir dir{"bench-serve"};
   const auto data_dir = dir / "data";
@@ -1008,7 +928,6 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
       -> std::unique_ptr<fam::Daemon> {
     fam::DaemonOptions options;
     options.log_dir = log_dir;
-    options.poll_interval = std::chrono::milliseconds{1};
     options.dispatch_threads = 4;
     options.channel_shards = shards;
     options.admission_queue_limit = queue_limit;
@@ -1022,13 +941,11 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
     daemon->start();
     return daemon;
   };
-  const auto make_client = [&](const std::filesystem::path& log_dir,
-                               bool force_legacy) {
+  const auto make_client = [&](const std::filesystem::path& log_dir) {
     fam::ClientOptions options;
     options.log_dir = log_dir;
     options.poll_interval = std::chrono::milliseconds{1};
     options.timeout = std::chrono::milliseconds{120'000};
-    options.force_legacy = force_legacy;
     return fam::Client{options};
   };
 
@@ -1036,11 +953,10 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
   {
     auto daemon = make_daemon(dir / "logs-sharded", 8, 256);
     if (!daemon) return;
-    auto client = make_client(dir / "logs-sharded", false);
+    auto client = make_client(dir / "logs-sharded");
     ServeArmResult arm =
-        run_serve_arm(client, inputs, workers, kClients, sharded_invokes);
+        run_serve_arm(client, inputs, workers, kClients, invokes_per_client);
     daemon->stop();
-    const std::uint64_t handled = daemon->requests_handled();
     const double rps =
         arm.wall_seconds > 0.0
             ? static_cast<double>(arm.successes) / arm.wall_seconds
@@ -1063,32 +979,29 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
     entry.add_field("batches_run", std::to_string(daemon->batches_run()));
     entry.add_field("channel", "\"sharded\"");
 
-    // Arm 2: the rev-1 single-log baseline — same workload, force_legacy
-    // clients against a shard-less daemon.  Invokes per client are scaled
-    // down (the single-record channel serialises per module); throughput
-    // is a rate, so the ratio stays honest.
-    auto legacy_daemon = make_daemon(dir / "logs-legacy", 0, 256);
-    if (!legacy_daemon) return;
-    auto legacy_client = make_client(dir / "logs-legacy", true);
-    ServeArmResult legacy = run_serve_arm(legacy_client, inputs, workers,
-                                          kClients, legacy_invokes);
-    legacy_daemon->stop();
-    const double legacy_rps =
-        legacy.wall_seconds > 0.0
-            ? static_cast<double>(legacy.successes) / legacy.wall_seconds
+    // Arm 2: the one-shard baseline — same workload and invokes per
+    // client against a daemon with a single mailbox, the paper's one log.
+    auto one_daemon = make_daemon(dir / "logs-one-shard", 1, 256);
+    if (!one_daemon) return;
+    auto one_client = make_client(dir / "logs-one-shard");
+    ServeArmResult one = run_serve_arm(one_client, inputs, workers, kClients,
+                                       invokes_per_client);
+    one_daemon->stop();
+    const double one_rps =
+        one.wall_seconds > 0.0
+            ? static_cast<double>(one.successes) / one.wall_seconds
             : 0.0;
     baseline.add_field("clients", std::to_string(kClients));
-    baseline.add_number("throughput_rps", legacy_rps, 1);
-    baseline.add_number("serve_p50_ms",
-                        percentile_ms(legacy.latencies_s, 50.0), 3);
-    baseline.add_number("serve_p99_ms",
-                        percentile_ms(legacy.latencies_s, 99.0), 3);
+    baseline.add_number("throughput_rps", one_rps, 1);
+    baseline.add_number("serve_p50_ms", percentile_ms(one.latencies_s, 50.0),
+                        3);
+    baseline.add_number("serve_p99_ms", percentile_ms(one.latencies_s, 99.0),
+                        3);
     baseline.add_field("responses_lost",
-                       std::to_string(legacy.invokes - legacy.successes));
-    baseline.add_field("channel", "\"single-log\"");
-    entry.add_number("speedup_vs_single_log",
-                     legacy_rps > 0.0 ? rps / legacy_rps : 0.0, 1);
-    (void)handled;
+                       std::to_string(one.invokes - one.successes));
+    baseline.add_field("channel", "\"one-shard\"");
+    entry.add_number("speedup_vs_one_shard",
+                     one_rps > 0.0 ? rps / one_rps : 0.0, 1);
   }
 
   // Phase 3: backpressure.  A daemon with a 2-batch admission bound and
@@ -1099,7 +1012,6 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
   {
     fam::DaemonOptions options;
     options.log_dir = dir / "logs-bp";
-    options.poll_interval = std::chrono::milliseconds{1};
     options.dispatch_threads = 2;
     options.channel_shards = 8;
     options.admission_queue_limit = 2;
@@ -1115,7 +1027,7 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
       return;
     }
     daemon.start();
-    auto client = make_client(options.log_dir, false);
+    auto client = make_client(options.log_dir);
     std::mutex agg;
     std::vector<double> latencies_s;
     std::uint64_t retries = 0;
@@ -1298,10 +1210,10 @@ int main(int argc, char** argv) {
   entry.add_field("suite", "\"" + bench::json_escape(suite) + "\"");
   entry.add_field("corpus_bytes", std::to_string(bytes.value()));
   entry.add_field("reps", std::to_string(reps));
-  // The serve suite records a second labelled entry: the rev-1
-  // single-log baseline the sharded channel is measured against.
+  // The serve suite records a second labelled entry: the one-shard
+  // baseline the sharded channel is measured against.
   bench::TrajectoryEntry baseline;
-  baseline.label = entry.label + "-single-log";
+  baseline.label = entry.label + "-one-shard";
   baseline.add_field("suite", "\"" + bench::json_escape(suite) + "\"");
   baseline.add_field("corpus_bytes", std::to_string(bytes.value()));
   baseline.add_field("reps", std::to_string(reps));
