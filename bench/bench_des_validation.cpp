@@ -4,14 +4,15 @@
 // their core assumptions event by event and reports the error:
 //   1. background-load slowdown: analytic `(1 - u)` bandwidth discount
 //      vs a processor-sharing link carrying the actual message stream;
-//   2. fair-share makespans: the malleable co-scheduler's fluid model vs
-//      a DES of the same two jobs on a shared CPU resource.
+//   2. compute time: a lone wc/sm/mm job on a node's fluid-share server
+//      (the DES MalleableCpu every scenario runs on) vs the closed form
+//      CpuModel::compute_seconds that model_job and Fig. 8 use.
 #include <cstdio>
 #include <functional>
-#include <vector>
 
 #include "cluster/des.hpp"
-#include "cluster/malleable.hpp"
+#include "cluster/profiles.hpp"
+#include "cluster/testbed.hpp"
 #include "core/table.hpp"
 
 using namespace mcsd;
@@ -62,32 +63,33 @@ int main() {
               "\nuses.");
   }
 
-  std::puts("\n=== DES validation 2: malleable fair-share makespan ===");
-  std::puts("(two parallel jobs on a 4-core node, fluid model vs DES)\n");
+  std::puts("\n=== DES validation 2: lone-job compute time ===");
+  std::puts("(1 GiB of input, alone on the node's fluid-share server)\n");
   {
-    Table t{{"job A work", "job B work", "fluid A (s)", "DES A (s)",
-             "fluid B (s)", "DES B (s)"}};
-    const CpuModel cpu{4, 1.0};
-    for (const auto& [wa, wb] : std::vector<std::pair<double, double>>{
-             {20.0, 20.0}, {8.0, 40.0}, {4.0, 4.0}, {30.0, 10.0}}) {
-      const auto fluid = schedule_malleable(
-          {{"a", 0.0, wa, 0}, {"b", 0.0, wb, 0}}, cpu);
-
-      Simulator sim;
-      Resource cores{sim, "cpu", 4.0};  // 4 core-seconds per second
-      double fa = 0.0;
-      double fb = 0.0;
-      cores.submit(wa, [&] { fa = sim.now(); });
-      cores.submit(wb, [&] { fb = sim.now(); });
-      sim.run();
-
-      t.add_row({Table::num(wa, 0), Table::num(wb, 0),
-                 Table::num(fluid.finish_seconds[0], 2), Table::num(fa, 2),
-                 Table::num(fluid.finish_seconds[1], 2), Table::num(fb, 2)});
+    Table t{{"node", "app", "closed form (s)", "DES (s)", "error"}};
+    for (const NodeSpec& node : {sd_node_duo(), host_node()}) {
+      for (const AppProfile& app :
+           {wordcount_profile(), stringmatch_profile(), matmul_profile()}) {
+        const double work = 1024.0 * app.seconds_per_mib;
+        const double pf = app.parallel_fraction;
+        Simulator sim;
+        MalleableCpu cpu{sim, node.cpu.cores, node.cpu.core_speed, 0.0,
+                         ShareMode::kEqualShare};
+        double des = 0.0;
+        cpu.submit(work * (1.0 - pf) / node.cpu.core_speed, work * pf,
+                   [&] { des = sim.now(); });
+        sim.run();
+        const double closed =
+            node.cpu.compute_seconds(work, node.cpu.cores, pf);
+        t.add_row({node.name, app.name, Table::num(closed, 2),
+                   Table::num(des, 2),
+                   Table::num((des - closed) / closed * 100.0, 1) + "%"});
+      }
     }
     std::fputs(t.render().c_str(), stdout);
-    std::puts("\ncheck: identical — both implement equal-share scheduling;"
-              "\nthe scenario models inherit that agreement.");
+    std::puts("\ncheck: identical — the server runs serial work on one core"
+              "\nand parallel work across all of them, which is the Amdahl"
+              "\nclosed form the figure models use.");
   }
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -23,199 +22,6 @@ double ClusterSpec::derived_fabric_mibps() const {
 }
 
 namespace {
-
-constexpr double kDoneEps = 1e-9;
-
-/// Per-node malleable fluid CPU: every resident task holds a fractional
-/// core share reallocated (fill_shares) at each arrival, phase boundary,
-/// and departure.  A task is (serial_left wall-seconds, parallel_left
-/// reference-core-seconds); serial progresses at min(share, 1) — one
-/// core at most — and parallel at share * core_speed, divided by the
-/// co-runner interference factor.  Completions dispatch through the
-/// event queue in submission order, the same discipline as
-/// sim::Resource, so the whole cluster replays deterministically.
-class MalleableCpu {
- public:
-  using Completion = std::function<void()>;
-
-  MalleableCpu(Simulator& sim, std::size_t cores, double core_speed,
-               double interference_per_job, ShareMode mode)
-      : sim_(sim),
-        cores_(static_cast<double>(cores)),
-        core_speed_(core_speed),
-        interference_(interference_per_job),
-        mode_(mode) {
-    if (cores == 0 || core_speed <= 0.0) {
-      throw std::invalid_argument("MalleableCpu needs cores and speed");
-    }
-  }
-
-  void submit(double serial_wall_seconds, double parallel_ref_work,
-              Completion done) {
-    advance_to_now();
-    const std::uint64_t id = next_id_++;
-    tasks_.emplace(
-        id, Task{serial_wall_seconds, parallel_ref_work, 0.0,
-                 std::move(done)});
-    reschedule();
-  }
-
-  /// Outstanding work in reference-core-seconds as of now — the CPU
-  /// backlog a placement policy sees.
-  double outstanding_ref_seconds() {
-    advance_to_now();
-    double total = 0.0;
-    for (const auto& [id, task] : tasks_) {
-      total += task.serial_left * core_speed_ + task.parallel_left;
-    }
-    return total;
-  }
-
-  [[nodiscard]] std::size_t active_tasks() const noexcept {
-    return tasks_.size();
-  }
-  /// Core-seconds of occupancy accumulated so far (serial holds one
-  /// core, parallel holds its full share even while interference slows
-  /// it — busy-but-less-efficient cores are still busy).
-  [[nodiscard]] double busy_core_seconds() const noexcept {
-    return busy_core_seconds_;
-  }
-
- private:
-  struct Task {
-    double serial_left;    ///< wall-seconds on one local core
-    double parallel_left;  ///< reference-core-seconds
-    double share = 0.0;    ///< granted cores under the current allocation
-    Completion done;
-  };
-
-  [[nodiscard]] double interference_factor() const noexcept {
-    if (tasks_.size() <= 1) return 1.0;
-    return 1.0 + interference_ * static_cast<double>(tasks_.size() - 1);
-  }
-
-  void refill_shares() {
-    slots_.clear();
-    slots_.reserve(tasks_.size());
-    for (const auto& [id, task] : tasks_) {
-      ShareSlot slot;
-      // A task in its serial phase can use at most one core; once it
-      // goes parallel it may spread across the whole node.
-      slot.cap = task.serial_left > 0.0 ? std::min(1.0, cores_) : cores_;
-      slot.weight = task.serial_left * core_speed_ + task.parallel_left;
-      slots_.push_back(slot);
-    }
-    fill_shares(slots_, cores_, mode_);
-    std::size_t i = 0;
-    for (auto& [id, task] : tasks_) task.share = slots_[i++].share;
-  }
-
-  void advance_to_now() {
-    const SimTime now = sim_.now();
-    const SimTime dt = now - last_update_;
-    last_update_ = now;
-    if (dt <= 0.0 || tasks_.empty()) return;
-    const double infl = interference_factor();
-    for (auto& [id, task] : tasks_) {
-      if (task.serial_left > 0.0) {
-        const double rate = std::min(task.share, 1.0);
-        const double used = std::min(task.serial_left, dt * rate);
-        task.serial_left -= used;
-        // One core busy for used/rate seconds at min(share,1) cores
-        // collapses to exactly `used` core-seconds.
-        busy_core_seconds_ += used;
-      } else {
-        const double rate = task.share * core_speed_ / infl;
-        const double used = std::min(task.parallel_left, dt * rate);
-        task.parallel_left -= used;
-        busy_core_seconds_ += used * infl / core_speed_;
-      }
-    }
-  }
-
-  void reschedule() {
-    // Pop finished tasks; completions go through the event queue at
-    // `now` in submission (id) order — deterministic, non-reentrant.
-    for (auto it = tasks_.begin(); it != tasks_.end();) {
-      Task& task = it->second;
-      if (task.serial_left <= kDoneEps) task.serial_left = 0.0;
-      if (task.serial_left <= 0.0 && task.parallel_left <= kDoneEps) {
-        if (task.done) sim_.schedule_at(sim_.now(), std::move(task.done));
-        it = tasks_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (tasks_.empty()) return;
-
-    refill_shares();
-    const double infl = interference_factor();
-    double dt_min = std::numeric_limits<double>::infinity();
-    for (const auto& [id, task] : tasks_) {
-      double dt;
-      if (task.serial_left > 0.0) {
-        const double rate = std::min(task.share, 1.0);
-        if (rate <= 0.0) continue;
-        dt = task.serial_left / rate;
-      } else {
-        const double rate = task.share * core_speed_ / infl;
-        if (rate <= 0.0) continue;
-        dt = task.parallel_left / rate;
-      }
-      dt_min = std::min(dt_min, dt);
-    }
-    // Water-filling grants every claimant a positive share when cores
-    // are positive, so some boundary is always finite.
-    if (!std::isfinite(dt_min)) return;
-
-    if (sim_.now() + dt_min <= sim_.now()) {
-      // Sub-resolution boundary: `now + dt` would not advance the clock
-      // and the timer would respin at this instant forever.  Zero the
-      // bounding phase of the task(s) at the minimum and retry.
-      const double cutoff = dt_min * (1.0 + 1e-9);
-      for (auto& [id, task] : tasks_) {
-        double dt;
-        if (task.serial_left > 0.0) {
-          const double rate = std::min(task.share, 1.0);
-          if (rate <= 0.0) continue;
-          dt = task.serial_left / rate;
-        } else {
-          const double rate = task.share * core_speed_ / infl;
-          if (rate <= 0.0) continue;
-          dt = task.parallel_left / rate;
-        }
-        if (dt <= cutoff) {
-          if (task.serial_left > 0.0) {
-            task.serial_left = 0.0;
-          } else {
-            task.parallel_left = 0.0;
-          }
-        }
-      }
-      reschedule();
-      return;
-    }
-
-    const std::uint64_t epoch = ++timer_epoch_;
-    sim_.schedule_in(dt_min, [this, epoch] {
-      if (epoch != timer_epoch_) return;  // superseded by an arrival
-      advance_to_now();
-      reschedule();
-    });
-  }
-
-  Simulator& sim_;
-  double cores_;
-  double core_speed_;
-  double interference_;
-  ShareMode mode_;
-  std::map<std::uint64_t, Task> tasks_;
-  std::vector<ShareSlot> slots_;
-  std::uint64_t next_id_ = 0;
-  SimTime last_update_ = 0.0;
-  std::uint64_t timer_epoch_ = 0;
-  double busy_core_seconds_ = 0.0;
-};
 
 struct Node {
   std::size_t index = 0;
@@ -328,7 +134,7 @@ class ClusterEngine {
     --nodes_[n].running_jobs;
   }
 
-  /// Splits `ref_work` reference-core-seconds into the malleable CPU's
+  /// Splits `ref_work` reference-core-seconds into the fluid server's
   /// (serial wall-seconds, parallel ref-seconds) pair.
   void submit_compute(std::size_t n, double ref_work, double parallel_fraction,
                       MalleableCpu::Completion done) {
@@ -365,17 +171,30 @@ class ClusterEngine {
     return n;
   }
 
-  /// Alone-on-the-home-SD-node analytic time — the slowdown denominator.
+  /// Slowdown denominator: the least alone time over the placements the
+  /// engine can make — the home SD reading its own disk, or any SD or
+  /// host node reading over an idle fabric — charged with the terms the
+  /// DES charges (seek-free streaming read, compute with the serial
+  /// phase on one core, shuffle over the fabric).  No schedule beats it.
   [[nodiscard]] double ideal_seconds(const TraceJob& tj) const {
     const AppProfile& p = kernel_profile(tj.kernel);
-    const NodeSpec& sd = spec_.sd_template;
     const double mib = static_cast<double>(tj.input_bytes) / kMiBd;
     const double work = mib * p.seconds_per_mib;
-    const double read = sd.disk.read_seconds(tj.input_bytes);
-    const double compute =
-        sd.cpu.compute_seconds(work, sd.cpu.cores, p.parallel_fraction);
-    const double shuffle = mib * p.shuffle_ratio / fabric_mibps_;
-    return read + compute + shuffle;
+    const double fabric_read = mib / fabric_mibps_;
+    const auto compute = [&](const NodeSpec& node) {
+      return node.cpu.compute_seconds(work, node.cpu.cores,
+                                      p.parallel_fraction);
+    };
+    double best = std::numeric_limits<double>::infinity();
+    if (spec_.sd_nodes > 0) {
+      const NodeSpec& sd = spec_.sd_template;
+      best = std::min(mib / sd.disk.seq_read_mibps, fabric_read) +
+             compute(sd);
+    }
+    if (spec_.host_nodes > 0) {
+      best = std::min(best, fabric_read + compute(spec_.host_template));
+    }
+    return best + mib * p.shuffle_ratio / fabric_mibps_;
   }
 
   void finalise() {

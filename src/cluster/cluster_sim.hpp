@@ -7,7 +7,7 @@
 //   * Nodes — `sd_nodes` smart-storage nodes (duo-core E4400 template;
 //     their disks hold the inputs) and `host_nodes` compute hosts
 //     (quad-core Q9400 template; always read remotely).  Each node owns
-//     a processor-sharing disk (sim::Resource) and a malleable fluid CPU
+//     a processor-sharing disk (sim::Resource) and a sim::MalleableCpu
 //     that reallocates fractional core shares (fill_shares) at every
 //     arrival, phase change, and departure — equal-share or SET-style
 //     work-proportional.
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/malleable.hpp"
+#include "cluster/des.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/testbed.hpp"
 #include "cluster/trace.hpp"
@@ -57,7 +57,8 @@ struct ClusterSpec {
 struct JobOutcome {
   double arrival_seconds = 0.0;
   double finish_seconds = 0.0;
-  /// Alone-on-the-home-node analytic time: the slowdown denominator.
+  /// Least alone time over every placement the engine could make: the
+  /// slowdown denominator, so slowdown() >= 1.
   double ideal_seconds = 0.0;
   std::size_t node = 0;
   bool remote_read = false;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cluster/malleable.hpp"
+#include "cluster/des.hpp"
 
 namespace mcsd::sim {
 
@@ -89,33 +89,33 @@ PairResult run_pair(const Testbed& tb, PairScenario scenario,
 
       const double pull = nfs_pull_seconds(tb, data_bytes);
       // Both jobs' CPU work inflates by the shared-socket interference
-      // factor (LLC + memory-bus contention between MM and WC/SM).
+      // factor (LLC + memory-bus contention between MM and WC/SM), so the
+      // server itself runs with interference 0.
       const double interf = tb.co_scheduling_interference;
-      std::vector<MalleableJob> jobs(2);
-      jobs[0] = MalleableJob{
-          compute_app.name,
+      const double speed = tb.host.cpu.core_speed;
+      Simulator sim;
+      MalleableCpu host_cpu{sim, tb.host.cpu.cores, speed, 0.0,
+                            ShareMode::kEqualShare};
+      host_cpu.submit(
           compute_cost.serial_seconds() +
-              interf *
-                  serial_compute_ref_seconds(compute_app, compute_bytes) /
-                  tb.host.cpu.core_speed,
+              interf * serial_compute_ref_seconds(compute_app, compute_bytes) /
+                  speed,
           interf * parallel_work_ref_seconds(compute_app, compute_bytes),
-          tb.host.cpu.cores};
+          [&] { result.compute_job_seconds = sim.now(); });
       // The data job's input arrives over NFS, not the host disk: its
       // serial share replaces the modelled local read with the pull.
       const double data_serial = pull + data_cost.thrash_seconds +
                                  data_cost.overhead_seconds +
                                  data_cost.write_seconds;
-      jobs[1] = MalleableJob{
-          data_app.name,
+      host_cpu.submit(
           data_serial +
               interf * serial_compute_ref_seconds(data_app, data_bytes) /
-                  tb.host.cpu.core_speed,
+                  speed,
           interf * parallel_work_ref_seconds(data_app, data_bytes),
-          tb.host.cpu.cores};
-      const MalleableResult sched = schedule_malleable(jobs, tb.host.cpu);
-      result.compute_job_seconds = sched.finish_seconds[0];
-      result.data_job_seconds = sched.finish_seconds[1];
-      result.makespan_seconds = sched.makespan_seconds;
+          [&] { result.data_job_seconds = sim.now(); });
+      sim.run();
+      result.makespan_seconds =
+          std::max(result.compute_job_seconds, result.data_job_seconds);
       return result;
     }
 

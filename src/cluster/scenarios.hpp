@@ -7,7 +7,8 @@
 // Multi-application runs (Fig. 9, Fig. 10): a computation-intensive job
 // (MM) paired with a data-intensive job (WC or SM), executed under four
 // system configurations:
-//   1. kHostOnly          — both jobs on the host node; the data job's
+//   1. kHostOnly          — both jobs on the host node, sharing its cores
+//                           on the DES MalleableCpu; the data job's
 //                           input is pulled from the SD node over NFS.
 //   2. kTraditionalSd     — MM on the host; data job runs *sequentially*
 //                           on a single-core smart-storage node.

@@ -236,6 +236,26 @@ TEST(ClusterSim, EveryJobFinishesAfterItsArrival) {
   EXPECT_GT(r.events, trace.size());
 }
 
+TEST(ClusterSim, SlowdownIsNeverBelowOne) {
+  // The denominator is the least alone time over every placement the
+  // engine can make, charged with the DES's own terms, so no job under
+  // any policy can beat it.
+  const ClusterSpec spec = small_cluster();
+  for (const TraceKind kind :
+       {TraceKind::kPoisson, TraceKind::kBursty, TraceKind::kZipfMix}) {
+    const auto trace = small_trace(kind);
+    for (const char* name : {"random", "greedy", "contention"}) {
+      const auto policy = make_policy(name);
+      const ClusterSimResult r = run_cluster_sim(spec, trace, *policy);
+      for (const JobOutcome& job : r.jobs) {
+        EXPECT_GE(job.slowdown(), 1.0 - 1e-9)
+            << name << " " << to_string(kind) << " " << to_string(job.kernel)
+            << " " << job.input_bytes << " B on node " << job.node;
+      }
+    }
+  }
+}
+
 TEST(ClusterSim, UtilizationsAreSane) {
   const ClusterSpec spec = small_cluster();
   const auto trace = small_trace();

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "cluster/models.hpp"
+#include "cluster/profiles.hpp"
 #include "cluster/smb.hpp"
+#include "cluster/testbed.hpp"
 
 namespace mcsd::sim {
 namespace {
@@ -166,25 +168,6 @@ TEST(Resource, CompletionMaySubmitMoreWork) {
   EXPECT_DOUBLE_EQ(second_finish, 3.0);
 }
 
-TEST(Resource, SetCapacityMidFlightBanksProgress) {
-  Simulator sim;
-  Resource r{sim, "r", 100.0};
-  SimTime finish = -1.0;
-  r.submit(100.0, [&] { finish = sim.now(); });
-  // Halve the rate at t = 0.5: 50 units done, 50 left at 50 u/s -> 1.5.
-  sim.schedule_at(0.5, [&] { r.set_capacity(50.0); });
-  sim.run();
-  EXPECT_NEAR(finish, 1.5, 1e-9);
-  EXPECT_DOUBLE_EQ(r.capacity(), 50.0);
-}
-
-TEST(Resource, SetCapacityRejectsNonPositive) {
-  Simulator sim;
-  Resource r{sim, "r", 1.0};
-  EXPECT_THROW(r.set_capacity(0.0), std::invalid_argument);
-  EXPECT_THROW(r.set_capacity(-2.0), std::invalid_argument);
-}
-
 TEST(Resource, OutstandingWorkTracksBacklog) {
   Simulator sim;
   Resource r{sim, "r", 10.0};
@@ -294,6 +277,28 @@ TEST(DesValidation, SmbModelUtilizationMatchesDes) {
   const double des_utilization =
       link.work_served() / (nic.raw_mibps() * sim.now());
   EXPECT_NEAR(des_utilization, smb.link_utilization(nic), 0.01);
+}
+
+TEST(DesValidation, LoneJobOnFluidServerMatchesCpuModel) {
+  // A job alone on a node's fluid server must take exactly the closed
+  // form model_job and Fig. 8 use: serial work on one core, parallel
+  // work across all of them.
+  for (const NodeSpec& node : {sd_node_duo(), host_node()}) {
+    for (const AppProfile& app :
+         {wordcount_profile(), stringmatch_profile(), matmul_profile()}) {
+      const double work = 1024.0 * app.seconds_per_mib;
+      const double pf = app.parallel_fraction;
+      Simulator sim;
+      MalleableCpu cpu{sim, node.cpu.cores, node.cpu.core_speed, 0.05,
+                       ShareMode::kProportional};
+      SimTime finish = -1.0;
+      cpu.submit(work * (1.0 - pf) / node.cpu.core_speed, work * pf,
+                 [&] { finish = sim.now(); });
+      sim.run();
+      const double closed = node.cpu.compute_seconds(work, node.cpu.cores, pf);
+      EXPECT_NEAR(finish / closed, 1.0, 1e-12) << node.name << " " << app.name;
+    }
+  }
 }
 
 }  // namespace
